@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 __all__ = ["massf", "massf_map", "massf_emulate", "massf_netflow"]
@@ -1279,8 +1280,6 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
                         "routing delta-derivation instead of a rebuild")
     parser.add_argument("--default-timeout", type=float, default=None,
                         help="default per-job soft deadline in seconds")
-    parser.add_argument("--pool-workers", type=int, default=0,
-                        help="pmap pool size leased to jobs (0 = inline)")
 
 
 def _cmd_serve(parser: argparse.ArgumentParser, args) -> int:
@@ -1295,7 +1294,6 @@ def _cmd_serve(parser: argparse.ArgumentParser, args) -> int:
         budget_bytes=args.budget_mb * 1024 * 1024,
         max_delta_changes=args.max_delta_changes,
         default_timeout_s=args.default_timeout,
-        pool_workers=args.pool_workers,
     )
     serve(config, log=lambda line: print(line, file=sys.stderr))
     return 0
@@ -1437,6 +1435,10 @@ _SUBCOMMANDS = {
 }
 
 
+#: Shell status of a process killed by SIGPIPE (128 + 13).
+_EXIT_BROKEN_PIPE = 141
+
+
 def massf(argv: list[str] | None = None) -> int:
     """The unified ``massf`` console entry point."""
     parser = argparse.ArgumentParser(
@@ -1451,7 +1453,17 @@ def massf(argv: list[str] | None = None) -> int:
         configure(sub)
         sub.set_defaults(_run=run, _parser=sub)
     args = parser.parse_args(argv)
-    return args._run(args._parser, args)
+    try:
+        rc = args._run(args._parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away early (`massf stats tel.json | head`).
+        # Exit like a tool killed by SIGPIPE, without a traceback; point
+        # stdout at devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
+    return rc
 
 
 def _deprecated_shim(old: str, command: str, argv: list[str] | None) -> int:

@@ -14,9 +14,8 @@ system to optimize:
   (per-cell timing, cache hit/miss counters, progress callbacks).
 - :mod:`repro.runtime.pmap` — a fork-shared parallel map for batched
   kernels (the PLACE route blocks) whose tasks all read one large
-  read-only object that must never cross a pickle boundary.
-- :mod:`repro.runtime.pools` — a thread-safe lease registry that reuses
-  warm :class:`~repro.runtime.pmap.PmapPool` workers across service jobs.
+  read-only object that must never cross a pickle boundary; it forks a
+  fresh pool per call, so workers always see the caller's current state.
 """
 
 from repro.runtime.cache import ArtifactCache, CacheStats, default_cache
@@ -29,12 +28,9 @@ from repro.runtime.executor import (
 )
 from repro.runtime.fingerprint import stable_hash
 from repro.runtime.pmap import parallel_map
-from repro.runtime.pools import PoolLease, PoolRegistry
 
 __all__ = [
     "parallel_map",
-    "PoolRegistry",
-    "PoolLease",
     "ArtifactCache",
     "CacheStats",
     "default_cache",

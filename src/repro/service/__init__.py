@@ -16,7 +16,7 @@ ROADMAP's "millions of users" story:
   kind (map / sweep / emulate / apply_changes), audited by the
   parallel-safety rule;
 - :mod:`repro.service.core` — the worker threads multiplexing jobs onto
-  the shared warm state, grid executor and pmap pool registry;
+  the shared warm state and the grid executor;
 - :mod:`repro.service.server` — the stdlib-``asyncio`` JSON-over-HTTP
   front end with SSE telemetry streaming;
 - :mod:`repro.service.client` — the blocking Python/CLI client.

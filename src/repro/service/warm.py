@@ -22,9 +22,12 @@ tier (kind ``"place-block"``), which this object owns and hands to every
 handler.
 
 Everything is guarded by one lock; computations run *outside* it, so a
-slow cold build never blocks warm hits for other jobs.  Entries are
-inserted only by fully-successful jobs — a failing or cancelled job
-cannot poison warm state.
+slow cold build never blocks warm hits for other jobs.  When two jobs
+miss on the same key at once, the first insert wins and the second job
+adopts it, so every job sees one network per topology spec, and a
+routing state is always bound to the very network it was asked for.
+Entries are inserted only by fully-successful jobs — a failing or
+cancelled job cannot poison warm state.
 """
 
 from __future__ import annotations
@@ -91,6 +94,22 @@ def _routing_nbytes(state) -> int:
     return int(tables.dist.nbytes + tables.next_hop.nbytes) + graph_nbytes
 
 
+def _bind_routing(state, net):
+    """``state``'s read-only arrays rebound to ``net``, an equal (same
+    fingerprint) copy of the network they were built for."""
+    from repro.routing.delta import RoutingState
+    from repro.routing.tables import RoutingTables
+
+    tables = state.tables
+    return RoutingState(
+        tables=RoutingTables(
+            net=net, metric=tables.metric, dist=tables.dist,
+            next_hop=tables.next_hop,
+        ),
+        graph=state.graph, generation=state.generation,
+    )
+
+
 class WarmCache:
     """LRU of topologies / routing states / response memos under a byte
     budget.
@@ -146,10 +165,20 @@ class WarmCache:
             self.stats.hit(layer)
             return True, entry[0]
 
-    def _put(self, layer: str, key, value, nbytes: int) -> None:
+    def _put(self, layer: str, key, value, nbytes: int, *,
+             replace: bool = False):
+        """Cache ``value`` under ``(layer, key)``; returns the cached value.
+
+        An entry that is already there wins unless ``replace``: a cold
+        miss that raced another job's then adopts the first copy, which
+        that job may already be using.
+        """
         with self._lock:
             old = self._entries.pop((layer, key), None)
             if old is not None:
+                if not replace:
+                    self._entries[(layer, key)] = old
+                    return old[0]
                 self._nbytes -= old[1]
             self._entries[(layer, key)] = (value, int(nbytes))
             self._nbytes += int(nbytes)
@@ -159,6 +188,7 @@ class WarmCache:
                 self.stats.evictions += 1
                 if self._telemetry is not None:
                     self._telemetry.count("service.warm_evictions")
+            return value
 
     def keys(self, layer: str) -> list:
         """The layer's live keys, LRU → MRU (test/introspection aid)."""
@@ -186,8 +216,7 @@ class WarmCache:
         if found:
             return net
         net = build_topology(spec)
-        self._put("topology", key, net, _network_nbytes(net))
-        return net
+        return self._put("topology", key, net, _network_nbytes(net))
 
     # ------------------------------------------------------------------ #
     # Routing layer
@@ -199,14 +228,26 @@ class WarmCache:
         warm sibling (≤ ``max_delta_changes`` canonically-changed edges;
         bit-identical to a cold build) → cold
         :func:`~repro.routing.spf.build_routing` through the disk cache.
+        The returned state's ``tables.net`` is always ``net`` itself.
         """
-        from repro.routing.delta import derive_routing, routing_state
-        from repro.routing.spf import build_routing
-
         key = (net.fingerprint(), metric)
         found, state = self._get("routing", key)
-        if found:
-            return state
+        if not found:
+            state = self._build_routing(net, metric)
+            state = self._put("routing", key, state, _routing_nbytes(state))
+        if state.tables.net is not net:
+            # Cached for an equal copy of ``net`` (e.g. its topology entry
+            # was evicted and rebuilt): rebind the arrays to this copy.
+            state = _bind_routing(state, net)
+            state = self._put(
+                "routing", key, state, _routing_nbytes(state), replace=True,
+            )
+        return state
+
+    def _build_routing(self, net, metric: str):
+        """A new routing state for a miss: delta-derived or cold-built."""
+        from repro.routing.delta import derive_routing, routing_state
+        from repro.routing.spf import build_routing
 
         # Delta path: scan warm candidates MRU-first outside the lock
         # (a candidate evicted mid-scan just fails the derive harmlessly).
@@ -229,7 +270,6 @@ class WarmCache:
             self.stats.delta_derives += 1
             if self._telemetry is not None:
                 self._telemetry.count("service.warm_delta_derives")
-            self._put("routing", key, state, _routing_nbytes(state))
             return state
 
         tables = build_routing(
@@ -237,7 +277,6 @@ class WarmCache:
         )
         state = routing_state(tables)
         self.stats.cold_builds += 1
-        self._put("routing", key, state, _routing_nbytes(state))
         return state
 
     # ------------------------------------------------------------------ #

@@ -94,3 +94,71 @@ def test_response_memo_round_trip():
     warm.memo_put(canon, {"parts": [0, 1, 2]})
     found, value = warm.memo_get(canon)
     assert found and value == {"parts": [0, 1, 2]}
+
+
+def test_concurrent_cold_topology_misses_share_one_network(monkeypatch):
+    """Two jobs miss on one topology at once: both end up with the first
+    inserted network, and the routing state is bound to that network."""
+    import threading
+
+    import repro.service.warm as warm_mod
+
+    warm = WarmCache()
+    build = warm_mod.build_topology
+    both_building = threading.Barrier(2, timeout=30)
+
+    def build_in_step(spec):
+        both_building.wait()  # both misses are in flight before any put
+        return build(spec)
+
+    monkeypatch.setattr(warm_mod, "build_topology", build_in_step)
+    nets: list = []
+    states: list = []
+
+    def job():
+        net = warm.topology(_spec())
+        nets.append(net)
+        states.append(warm.routing(net))
+
+    threads = [threading.Thread(target=job) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+    assert len(nets) == 2
+    assert nets[0] is nets[1]
+    assert all(state.tables.net is nets[0] for state in states)
+    later = warm.topology(_spec())
+    assert later is nets[0]
+    assert warm.routing(later).tables.net is later
+
+
+def test_routing_rebinds_after_its_topology_entry_was_evicted():
+    """A topology entry evicted while its routing entry stays warm: the
+    rebuilt network gets routing tables bound to itself, not to the
+    evicted copy, and the arrays are reused rather than recomputed."""
+    from repro.service.warm import _network_nbytes, _routing_nbytes
+
+    probe = build_topology(_spec())
+    topo_nbytes = _network_nbytes(probe)
+    routing_nbytes = _routing_nbytes(WarmCache().routing(probe))
+    filler_nbytes = 64 * 1024  # one response memo entry
+    warm = WarmCache(
+        budget_bytes=topo_nbytes + routing_nbytes + filler_nbytes - 1
+    )
+    first = warm.topology(_spec())
+    state = warm.routing(first)
+    warm.memo_put(("filler",), {})            # evicts the topology (LRU)
+    assert warm.keys("topology") == []
+    assert warm.routing(first) is state       # touch: routing is now MRU
+    rebuilt = warm.topology(_spec())          # evicts the filler memo
+    assert rebuilt is not first
+    assert len(warm.keys("routing")) == 1
+
+    bound = warm.routing(rebuilt)
+    assert bound.tables.net is rebuilt
+    assert warm.stats.cold_builds == 1
+    np.testing.assert_array_equal(bound.tables.dist, state.tables.dist)
+    np.testing.assert_array_equal(bound.tables.next_hop,
+                                  state.tables.next_hop)
+    assert warm.routing(rebuilt) is bound     # the rebound state is cached

@@ -223,6 +223,41 @@ def test_massf_sweep_stats_and_report(tmp_path, capsys):
     assert "spans.csv" in written and "series_cells.csv" in written
 
 
+@pytest.mark.parametrize("command", ["stats", "check"])
+def test_closed_stdout_pipe_exits_without_traceback(tmp_path, command):
+    """`massf stats tel.json | head` with the reader already gone: a quiet
+    SIGPIPE-style exit, never a BrokenPipeError traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.obs import Telemetry, write_json
+
+    tel = Telemetry()
+    with tel.span("solo"):
+        pass
+    for i in range(200):
+        tel.count(f"counter.{i}", i)
+    path = tmp_path / "tel.json"
+    write_json(tel, path)
+    args = [str(path)] if command == "stats" else ["--list-rules"]
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the consumer exits before reading a byte
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", command, *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == 141
+
+
 def test_massf_stats_sections(tmp_path, capsys):
     from repro.cli import massf
     from repro.obs import Telemetry, write_json
